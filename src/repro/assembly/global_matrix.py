@@ -110,20 +110,10 @@ class BlockMatrix:
 
     def to_scipy_csr(self):
         """Full (symmetric) matrix as ``scipy.sparse.csr_matrix``."""
-        from scipy.sparse import bsr_matrix
+        from repro.spmv.block_row import BlockRowLayout
 
-        idx_i = np.concatenate([np.arange(self.n), self.rows, self.cols])
-        idx_j = np.concatenate([np.arange(self.n), self.cols, self.rows])
-        data = np.concatenate(
-            [self.diag, self.blocks, self.blocks.transpose(0, 2, 1)]
-        )
-        order = np.argsort(idx_i * self.n + idx_j, kind="stable")
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(idx_i, minlength=self.n), out=indptr[1:])
-        return bsr_matrix(
-            (data[order], idx_j[order], indptr),
-            shape=(self.n * BS, self.n * BS),
-        ).tocsr()
+        layout = BlockRowLayout.from_pattern(self.n, self.rows, self.cols)
+        return layout.operator(self).tocsr()
 
 
 def _canonical_offdiag(

@@ -15,6 +15,10 @@ paper's two classifications:
    contact is resolved to an *effective entrance edge* of the target block
    so every downstream kernel sees the uniform vertex-vs-edge form.
 
+Between the two, a VE vertex that lies inside its target block with its
+own edges running in through the nearest edge — an overlap deeper than
+the threshold — is re-targeted to the edge it entered through.
+
 Each judgment is one vectorised kernel; the classification split uses the
 radix-sort partition primitive, and the result table stores the contacts
 grouped by kind in successive array segments, exactly as the paper's
@@ -41,6 +45,7 @@ from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions, gather_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.primitives.compact import partition_by_label
+from repro.primitives.scatter import segment_max
 from repro.util.validation import check_array, check_positive
 
 #: Projection-parameter band treated as "interior of the edge" for VE.
@@ -98,6 +103,84 @@ def _adjacent_vertex_indices(
     prev = off + (local - 1) % counts[vblock]
     nxt = off + (local + 1) % counts[vblock]
     return prev, nxt
+
+
+def _outside(
+    p: np.ndarray, q1: np.ndarray, q2: np.ndarray, eps_len: float
+) -> np.ndarray:
+    """``(k,)`` signed distance of points ``p`` outside the CCW edges
+    ``q1 -> q2`` (rows of ``(k, 2)``): positive right of the edge."""
+    cross = (q2[:, 0] - q1[:, 0]) * (p[:, 1] - q1[:, 1]) - (
+        q2[:, 1] - q1[:, 1]
+    ) * (p[:, 0] - q1[:, 0])
+    ln = np.hypot(q2[:, 0] - q1[:, 0], q2[:, 1] - q1[:, 1])
+    return -cross / np.maximum(ln, eps_len)
+
+
+def _retarget_entering(
+    system: BlockSystem,
+    vblock: np.ndarray,
+    eblock: np.ndarray,
+    v_idx: np.ndarray,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    interior: np.ndarray,
+    sin_tol: float,
+    eps_len: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entrance edges of VE vertices that overlap their target block.
+
+    All arrays are ``(m,)``: the vertex and its block, the target block,
+    and the CCW endpoints of each contact's nearest edge. A VE vertex
+    (``interior``) whose own edges run into the target block through its
+    nearest edge sits in an overlap deeper than the contact threshold —
+    the nearest edge is not the one it entered through, and a spring on
+    it cannot push the blocks apart. Such a vertex, when it lies inside
+    the target block, is re-targeted to its entrance edge: the edge with
+    both of the vertex's edges on or outside its line (within
+    ``sin_tol``) and the shallowest penetration. Returns the updated
+    ``(a_idx, b_idx)``; every other contact keeps its nearest edge.
+    """
+    verts = system.vertices
+    v_prev, v_next = _adjacent_vertex_indices(system, v_idx, vblock)
+
+    def enters(k, q1, q2):
+        """Whether contact ``k``'s vertex edges run inside ``q1 -> q2``."""
+        pv = verts[v_idx[k]]
+        depth = _outside(pv, q1, q2, eps_len)
+        runs = np.zeros(depth.shape, dtype=bool)
+        for pn in (verts[v_prev[k]], verts[v_next[k]]):
+            rise = _outside(pn, q1, q2, eps_len) - depth
+            runs |= rise < -sin_tol * np.hypot(
+                pn[:, 0] - pv[:, 0], pn[:, 1] - pv[:, 1]
+            )
+        return runs, depth
+
+    sel = np.flatnonzero(
+        interior & enters(np.arange(v_idx.size), verts[a_idx], verts[b_idx])[0]
+    )
+    if sel.size == 0:  # lint: sync-ok[empty-batch] -- overlap fixup only for non-empty selections
+        return a_idx, b_idx
+    # every edge of each flagged vertex's target block
+    counts = np.diff(system.offsets)[eblock[sel]]
+    start = np.zeros(sel.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    k = np.repeat(sel, counts)
+    e_local = np.arange(k.size, dtype=np.int64) - np.repeat(start[:-1], counts)
+    ea, eb = _edge_endpoint_indices(system, eblock[k], e_local)
+    q1, q2 = verts[ea], verts[eb]
+    runs, depth = enters(k, q1, q2)
+    usable = (
+        ~runs & (depth <= eps_len)
+        & (np.hypot(q2[:, 0] - q1[:, 0], q2[:, 1] - q1[:, 1]) > eps_len)
+    )
+    score = np.where(usable, depth, -np.inf)
+    best = np.lexsort((-score, k))[start[:-1]]
+    ok = (segment_max(depth, start[:-1]) <= eps_len) & (score[best] > -np.inf)
+    a_idx, b_idx = a_idx.copy(), b_idx.copy()
+    a_idx[sel[ok]] = ea[best[ok]]
+    b_idx[sel[ok]] = eb[best[ok]]
+    return a_idx, b_idx
 
 
 def _angle_between(
@@ -219,6 +302,12 @@ def narrow_phase(
     m = v_idx.size
 
     interior = (t > T_INTERIOR) & (t < 1.0 - T_INTERIOR)
+    # a VE vertex whose own edges run into the target block did not
+    # enter through its nearest edge: re-target it to its entrance edge
+    a_idx, b_idx = _retarget_entering(
+        system, vblock, eblock, v_idx, a_idx, b_idx, interior,
+        math.sin(math.radians(vv1_angle_tol_deg)), eps_len,
+    )
 
     # ---- angle judgment / VV resolution (kernel 2) -------------------
     # VV candidates: resolve against the nearest endpoint's two edges.
@@ -257,15 +346,8 @@ def narrow_phase(
         is_vv1 = ang[np.arange(vv.size), best_combo] < ang_tol
         # entrance-edge selection: signed outside distance of v against
         # each candidate edge (outside-positive = right of the CCW edge)
-        def outside(p, q1, q2):
-            cross = (q2[:, 0] - q1[:, 0]) * (p[:, 1] - q1[:, 1]) - (
-                q2[:, 1] - q1[:, 1]
-            ) * (p[:, 0] - q1[:, 0])
-            ln = np.hypot(q2[:, 0] - q1[:, 0], q2[:, 1] - q1[:, 1])
-            return -cross / np.maximum(ln, eps_len)
-
-        out_in = outside(pv, verts[w_prev], pw)
-        out_out = outside(pv, pw, verts[w_next])
+        out_in = _outside(pv, verts[w_prev], pw, eps_len)
+        out_out = _outside(pv, pw, verts[w_next], eps_len)
         # VV1: the B edge antiparallel to the matched A edge
         # (combos 0, 1 matched dv_in against d_in / d_out respectively)
         vv1_edge_is_in = np.isin(best_combo, (0, 2))

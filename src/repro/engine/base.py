@@ -487,7 +487,7 @@ class EngineBase:
         The base engines solve through the HSBCSR kernel, so the
         :class:`BlockMatrix` is converted here — once per solve, outside
         the fallback-ladder walk — *reusing the cached sparsity
-        structure* (index arrays, stage-2 reduction indices, launch-cost
+        structure* (index arrays, the block-row kernel layout, launch-cost
         counters) whenever the pattern matches the previous solve's,
         which is every open–close sweep after the first and usually
         every consecutive step too. The reuse gate is an exact pattern

@@ -29,6 +29,7 @@ from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
 from repro.solvers.preconditioners import Preconditioner
+from repro.spmv.block_row import block_diagonal, strict_upper
 from repro.util.validation import check_array
 
 
@@ -51,6 +52,9 @@ class NeumannPreconditioner(Preconditioner):
         self.a = a
         self.order = order
         self.inv_diag = np.linalg.inv(a.diag)
+        upper = strict_upper(a)
+        self._offdiag = upper + upper.transpose()  # (A - D), both triangles
+        self._dinv = block_diagonal(self.inv_diag)
         if device is not None:
             device.launch(
                 "neumann_construct",
@@ -67,32 +71,14 @@ class NeumannPreconditioner(Preconditioner):
                 ),
             )
 
-    def _offdiag_apply(self, xb: np.ndarray) -> np.ndarray:
-        """(A - D) x using both stored triangles."""
-        a = self.a
-        y = np.zeros_like(xb)
-        if a.n_offdiag:
-            np.add.at(
-                y, a.rows, np.einsum("mij,mj->mi", a.blocks, xb[a.cols])
-            )
-            np.add.at(
-                y, a.cols,
-                np.einsum("mji,mj->mi", a.blocks, xb[a.rows]),
-            )
-        return y
-
-    def _dinv(self, xb: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.inv_diag, xb)
-
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         a = self.a
         r = check_array("r", r, dtype=np.float64, shape=(a.n * BS,))
-        rb = r.reshape(a.n, BS)
         # Horner form: z_k = D^{-1} r; z_{j-1} = D^{-1} r + N z_j
-        z = self._dinv(rb)
-        base = z.copy()
+        base = self._dinv @ r
+        z = base
         for _ in range(self.order):
-            z = base - self._dinv(self._offdiag_apply(z))
+            z = base - self._dinv @ (self._offdiag @ z)
         if device is not None:
             m = a.n_offdiag
             device.launch(
@@ -112,4 +98,4 @@ class NeumannPreconditioner(Preconditioner):
                     warps=max(1, max(a.n, m) * BS // WARP_SIZE),
                 ),
             )
-        return z.reshape(-1)
+        return z

@@ -16,6 +16,7 @@ from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
 from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
+from repro.spmv.block_row import block_diagonal, strict_upper
 from repro.solvers.triangular import (
     ilu0_factorize,
     level_schedule,
@@ -106,6 +107,7 @@ class BlockJacobiPreconditioner(Preconditioner):
     def __init__(self, a: BlockMatrix, device: VirtualDevice | None = None) -> None:
         self.n = a.n
         self.inv_blocks = np.linalg.inv(a.diag)
+        self._inv_op = block_diagonal(self.inv_blocks)
         if device is not None:
             # one small dense inversion per block (LU of 6x6: ~2/3*6^3 flops)
             device.launch(
@@ -123,7 +125,7 @@ class BlockJacobiPreconditioner(Preconditioner):
 
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         r = check_array("r", r, dtype=np.float64, shape=(self.n * BS,))
-        z = np.einsum("nij,nj->ni", self.inv_blocks, r.reshape(self.n, BS))
+        z = self._inv_op @ r
         if device is not None:
             device.launch(
                 "bj_apply",
@@ -139,7 +141,7 @@ class BlockJacobiPreconditioner(Preconditioner):
                     warps=max(1, self.n * BS // WARP_SIZE),
                 ),
             )
-        return z.reshape(-1)
+        return z
 
 
 class SSORAIPreconditioner(Preconditioner):
@@ -148,7 +150,8 @@ class SSORAIPreconditioner(Preconditioner):
     ``M^{-1} = w(2 - w) W D W^T`` with ``W = D^{-1} - w D^{-1} U D^{-1}``
     (``U`` the strict block upper triangle, ``L = U^T``). Application is
     two triangular SpMVs and three block-diagonal multiplies — *no*
-    triangular solves, which is the whole point on the GPU.
+    triangular solves, which is the whole point on the GPU. On the host
+    all five are block-row kernel operands built once per solve.
     """
 
     name = "ssor"
@@ -166,6 +169,10 @@ class SSORAIPreconditioner(Preconditioner):
         self.omega = omega
         self.inv_diag = np.linalg.inv(a.diag)
         self.scale = omega * (2.0 - omega)
+        self._upper = strict_upper(a)
+        self._lower = self._upper.transpose()
+        self._d = block_diagonal(a.diag)
+        self._dinv = block_diagonal(self.inv_diag)
         if device is not None:
             # beyond the block inversions, SSOR-AI stages the scaled
             # triangular operators (reads the off-diagonal blocks once)
@@ -188,40 +195,16 @@ class SSORAIPreconditioner(Preconditioner):
                 ),
             )
 
-    # -- triangular SpMVs on the half-stored matrix --------------------
-    def _upper_apply(self, xb: np.ndarray) -> np.ndarray:
-        """(strict block upper) @ x."""
-        y = np.zeros_like(xb)
-        a = self.a
-        if a.n_offdiag:
-            contrib = np.einsum("mij,mj->mi", a.blocks, xb[a.cols])
-            np.add.at(y, a.rows, contrib)
-        return y
-
-    def _lower_apply(self, xb: np.ndarray) -> np.ndarray:
-        """(strict block lower) @ x = U^T x."""
-        y = np.zeros_like(xb)
-        a = self.a
-        if a.n_offdiag:
-            contrib = np.einsum("mji,mj->mi", a.blocks, xb[a.rows])
-            np.add.at(y, a.cols, contrib)
-        return y
-
-    def _dinv(self, xb: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.inv_diag, xb)
-
     def apply(self, r: np.ndarray, device: VirtualDevice | None = None) -> np.ndarray:
         a = self.a
         r = check_array("r", r, dtype=np.float64, shape=(a.n * BS,))
-        rb = r.reshape(a.n, BS)
+        dinv = self._dinv
         # W^T r = D^{-1} r - w D^{-1} L D^{-1} r
-        t = self._dinv(rb)
-        wt = t - self.omega * self._dinv(self._lower_apply(t))
-        # D (W^T r)
-        dwt = np.einsum("nij,nj->ni", a.diag, wt)
+        t = dinv @ r
+        wt = t - self.omega * (dinv @ (self._lower @ t))
         # W (D W^T r)
-        u = self._dinv(dwt)
-        z = u - self.omega * self._dinv(self._upper_apply(u))
+        u = dinv @ (self._d @ wt)
+        z = u - self.omega * (dinv @ (self._upper @ u))
         if device is not None:
             m = a.n_offdiag
             device.launch(
@@ -241,7 +224,7 @@ class SSORAIPreconditioner(Preconditioner):
                     warps=max(1, max(a.n, m) * BS // WARP_SIZE),
                 ),
             )
-        return (self.scale * z).reshape(-1)
+        return self.scale * z
 
 
 class ILU0Preconditioner(Preconditioner):

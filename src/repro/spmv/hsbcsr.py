@@ -26,6 +26,14 @@ The SpMV (paper Figs. 8/9) runs in two stages plus the diagonal pass:
    integer reads by 48-thread groups) and ``low_res`` gathered through
    ``row_low_p`` (texture path) and segment-summed by ``row_low_i``;
 3. the diagonal blocks multiply and accumulate.
+
+That launch sequence is what the *modelled* clock prices, from the
+layout's structure alone. The *wall* clock runs something else: the
+numbers come from the shared block-row host kernel
+(:mod:`repro.spmv.block_row`) on the full symmetric block-row layout,
+kept beside the slices and built once per sparsity pattern. The slice
+layout stays the format the cost model, Fig. 10 and the layout tests
+price; it is just not what the host multiplies.
 """
 
 from __future__ import annotations
@@ -33,13 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import bsr_matrix
 
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
-from repro.gpu.memory import coalesced_transactions, gather_transactions
+from repro.gpu.memory import coalesced_transactions
 from repro.gpu.warp import WARP_SIZE
-from repro.primitives.scatter import segment_sum
+from repro.spmv.block_row import BlockRowLayout, row_pointers
 from repro.util.validation import check_array
 
 #: Slice lengths are padded to a multiple of this (GPU alignment).
@@ -74,9 +83,10 @@ class HSBCSRMatrix:
     row_up_i: np.ndarray      # (n+1,) indptr over rows of the upper storage
     row_low_i: np.ndarray     # (n+1,) indptr over rows of the implied lower
     row_low_p: np.ndarray     # (m,) upper-storage position of each lower entry
-    # structure-derived caches, computed once per sparsity pattern and
+    layout: BlockRowLayout    # full symmetric block-row structure
+    op: bsr_matrix            # (6n, 6n) block-row kernel operand
+    # launch-cost counters, computed once per sparsity pattern and
     # shared across value-only rebuilds (the solver sparsity reuse path)
-    _reduce_index: tuple | None = None
     _cost: tuple | None = None
 
     @classmethod
@@ -91,10 +101,11 @@ class HSBCSRMatrix:
 
         ``structure`` optionally names a previously-built matrix with
         the same ``(n,)`` dimensions and identical ``(m,)`` sparsity
-        pattern: its index arrays (and any cached reduction indices /
-        cost counters) are shared instead of re-derived, so only the
-        slice payloads are rebuilt. The pattern is verified exactly; a
-        mismatch falls back to a full build.
+        pattern: its index arrays, block-row layout and cached cost
+        counters are shared instead of re-derived, so only the slice
+        payloads and the kernel operand's values (one gather) are
+        rebuilt. The pattern is verified exactly; a mismatch falls back
+        to a full build.
         """
         m = a.n_offdiag
         d_data = _slice_blocks(a.diag, align)
@@ -118,16 +129,14 @@ class HSBCSRMatrix:
                 row_up_i=structure.row_up_i,
                 row_low_i=structure.row_low_i,
                 row_low_p=structure.row_low_p,
-                _reduce_index=structure._reduce_index,
+                layout=structure.layout,
+                op=structure.layout.operator(a),
                 _cost=structure._cost,
             )
-        row_up_i = np.zeros(a.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a.rows, minlength=a.n), out=row_up_i[1:])
         # lower triangle: entry (j, i) for each upper (i, j); sorted by
         # (col, row) of the upper — i.e. by the lower entry's row
         order = np.lexsort((a.rows, a.cols))
-        row_low_i = np.zeros(a.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(a.cols, minlength=a.n), out=row_low_i[1:])
+        layout = BlockRowLayout.from_pattern(a.n, a.rows, a.cols)
         return cls(
             n=a.n,
             n_offdiag=m,
@@ -135,26 +144,12 @@ class HSBCSRMatrix:
             nd_data=nd_data,
             rows=a.rows.copy(),
             cols=a.cols.copy(),
-            row_up_i=row_up_i,
-            row_low_i=row_low_i,
+            row_up_i=row_pointers(a.rows, a.n),
+            row_low_i=row_pointers(a.cols, a.n),
             row_low_p=order.astype(np.int64),
+            layout=layout,
+            op=layout.operator(a),
         )
-
-    def reduction_index(self) -> tuple:
-        """Stage-2 reduction indices, cached per structure.
-
-        Returns ``(starts_up, nonempty_up, starts_low, nonempty_low)``
-        — all 1-D index arrays derived purely from the indptrs, so they
-        are computed once and shared by every SpMV on this pattern.
-        """
-        if self._reduce_index is None:
-            self._reduce_index = (
-                self.row_up_i[:-1],
-                np.flatnonzero(np.diff(self.row_up_i) > 0),
-                self.row_low_i[:-1],
-                np.flatnonzero(np.diff(self.row_low_i) > 0),
-            )
-        return self._reduce_index
 
     # ------------------------------------------------------------------
     @property
@@ -175,57 +170,25 @@ class HSBCSRMatrix:
         m = self.n_offdiag
         return self.nd_data[:, : m * BS].reshape(BS, m, BS)
 
-    def d_view(self) -> np.ndarray:
-        """``(6, n, 6)`` view of the diagonal slice data."""
-        return self.d_data[:, : self.n * BS].reshape(BS, self.n, BS)
-
 
 def hsbcsr_spmv(
     a: HSBCSRMatrix,
     x: np.ndarray,
     device: VirtualDevice | None = None,
 ) -> np.ndarray:
-    """``y = A x`` using the two-stage HSBCSR kernel.
+    """``y = A x`` priced as the two-stage HSBCSR kernel.
 
     ``x`` has shape ``(6 n,)``; returns ``y`` of the same shape. The
-    computation indexes the slice arrays exactly as the CUDA kernel
-    does; the modelled cost reflects the coalesced slice reads, the
+    values come from the block-row host kernel on ``a.op``; the modelled
+    cost is the HSBCSR launch sequence — the coalesced slice reads, the
     texture-path vector gathers, the bank-conflict-free shared reduction
     of Fig. 8, and the regular/irregular stage-2 reductions of Fig. 9.
     """
     x = check_array("x", x, dtype=np.float64, shape=(a.n * BS,))
-    xb = x.reshape(a.n, BS)
-    m = a.n_offdiag
-    y = np.zeros((a.n, BS))
-
-    if m:
-        v = a.nd_view()  # (6, m, 6): v[s, k, c] = block_k[s, c]
-        xj = xb[a.cols]  # texture gathers
-        xi = xb[a.rows]
-        # stage 1
-        up_res = np.einsum("skc,kc->ks", v, xj)   # A_k x_j
-        low_res = np.einsum("skc,ks->kc", v, xi)  # A_k^T x_i
-        # stage 2: regular reduction of up_res by row_up_i (indices are
-        # structure-only, cached across the CG iterations on one matrix)
-        starts_up, nonempty_up, starts_low, nonempty_low = (
-            a.reduction_index()
-        )
-        if nonempty_up.size:
-            sums = segment_sum(up_res, starts_up[nonempty_up], axis=0)
-            y[nonempty_up] += sums
-        # irregular reduction of low_res gathered through row_low_p
-        gathered = low_res[a.row_low_p]
-        if nonempty_low.size:
-            sums = segment_sum(gathered, starts_low[nonempty_low], axis=0)
-            y[nonempty_low] += sums
-
-    # stage 3: diagonal
-    d = a.d_view()
-    y += np.einsum("snc,nc->ns", d, xb)
-
+    y = a.op @ x
     if device is not None:
         _record_cost(a, device)
-    return y.reshape(-1)
+    return y
 
 
 def _record_cost(a: HSBCSRMatrix, device: VirtualDevice) -> None:

@@ -54,6 +54,25 @@ class TestVertexEdge:
         d = edge_penetration(p1, e1, e2)
         assert (d < 0).any()
 
+    def test_deep_overlap_retargets_to_entrance_edge(self):
+        # 0.1 overlap along collinear top/bottom edges, deeper than the
+        # threshold: the nearest edges are the collinear ones, but every
+        # overlapping corner entered through a vertical edge
+        s = system_of([SQ, SQ + np.array([0.9, 0.0])])
+        cs = detect(s)
+        p1, e1, e2, _, _ = cs.geometry(s)
+        assert cs.m == 4
+        np.testing.assert_allclose(e1[:, 0], e2[:, 0])  # vertical edges
+        np.testing.assert_allclose(edge_penetration(p1, e1, e2), -0.1)
+
+    def test_touching_side_by_side_keeps_nearest_edges(self):
+        # a shallow (within-threshold) overlap is not re-targeted
+        s = system_of([SQ, SQ + np.array([0.98, 0.5])])
+        cs = detect(s)
+        p1, e1, e2, _, _ = cs.geometry(s)
+        assert cs.m >= 2
+        assert (edge_penetration(p1, e1, e2) >= -0.02 - 1e-12).all()
+
     def test_far_blocks_no_contact(self):
         s = system_of([SQ, SQ + np.array([5.0, 0.0])])
         cs = detect(s)
