@@ -5,10 +5,13 @@ diagonal blocks collect elastic stiffness, inertia, loads and fixed-point
 penalties (:mod:`repro.assembly.submatrices`); non-diagonal blocks collect
 contact-spring couplings (:mod:`repro.assembly.contact_springs`).
 
-Two assemblers produce the same :class:`~repro.assembly.global_matrix.BlockMatrix`:
-the serial scatter-add loop of the CPU pipeline, and the paper's Fig.-4
-sort + scan scheme that avoids memory write conflicts on the GPU
-(:func:`~repro.assembly.global_matrix.assemble_gpu`).
+Every engine assembles the :class:`~repro.assembly.global_matrix.BlockMatrix`
+with the paper's Fig.-4 sort + scan scheme that avoids memory write
+conflicts on the GPU, implemented once as
+:class:`~repro.assembly.symbolic.AssemblyPlan`;
+:func:`~repro.assembly.global_matrix.assemble_gpu` prices its launches
+on a virtual device, :func:`~repro.assembly.global_matrix.assemble_serial`
+prices none.
 """
 
 from repro.assembly.submatrices import (

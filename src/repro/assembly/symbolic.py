@@ -1,34 +1,34 @@
-"""Symbolic assembly reuse: sparsity pattern cached across sweeps.
+"""The one assembly algorithm: a symbolic plan plus a numeric replay.
 
-Both assemblers (:func:`~repro.assembly.global_matrix.assemble_serial`
-and :func:`~repro.assembly.global_matrix.assemble_gpu`) split naturally
-into a *symbolic* phase — canonicalise orientations, sort contribution
-keys, find segment boundaries, derive the output (row, col) pattern —
-and a *numeric* phase that only moves and sums block payloads. The
-symbolic phase depends exclusively on the contribution index pattern
-``(diag_idx, off_rows, off_cols)``, which is constant across the
-open–close sweeps of a step (contact states change the block *values*,
-never the pattern) and usually across consecutive steps too.
+Assembly splits naturally into a *symbolic* phase — canonicalise
+orientations, sort contribution keys, find segment boundaries, derive
+the output (row, col) pattern — and a *numeric* phase that only moves
+and sums block payloads. The symbolic phase depends exclusively on the
+contribution index pattern ``(diag_idx, off_rows, off_cols)``, which is
+constant across the open–close sweeps of a step (contact states change
+the block *values*, never the pattern) and usually across consecutive
+steps too.
 
-:class:`AssemblyPlan` captures the symbolic phase once and replays the
-numeric phase per sweep:
+:class:`AssemblyPlan` is the only code in the package that sums
+contributions. Both assemblers
+(:func:`~repro.assembly.global_matrix.assemble_serial` and
+:func:`~repro.assembly.global_matrix.assemble_gpu`) are "build the
+plan, then :meth:`AssemblyPlan.assemble`", and every engine assembles
+through a plan it caches:
 
-* the stable sort permutation, segment starts and output coordinates
-  are computed once per topology;
-* :meth:`AssemblyPlan.assemble` is bit-identical to the assembler it
-  mirrors. The off-diagonal path (stable sort + left-to-right segment
-  reduction) is shared by both assemblers, but their *diagonal*
-  accumulation orders differ at the ulp level when indices repeat:
-  ``assemble_serial`` scatter-adds (``np.add.at``) while
-  ``assemble_gpu`` sorts and segment-reduces. ``diag_mode`` selects
-  which one the plan replays (``"scatter"`` / ``"segment"``), so each
-  engine's cached path reproduces its own assembler bit-for-bit;
-* the virtual-GPU launches the building assembler recorded are
-  *replayed* on every reuse, so the modelled device seconds are
-  bit-identical whether the plan hit or missed — the ledger stays an
-  honest model of the paper's per-sweep assembly pipeline;
-* the scatter sanitizer still sees the segment-write targets on every
-  sweep (the plan calls :func:`~repro.lint.sanitize.scatter_check`
+* the diagonal and the off-diagonal streams are both stable-sorted by
+  key and segment-reduced left to right — the paper's Fig.-4 scheme —
+  so every engine sums each block's contributions in the same order and
+  a reused plan is bit-identical to a fresh one;
+* built with a virtual device, the plan records the Fig.-4 launches
+  (radix-sort passes, segmented reductions, orientation and payload
+  gather kernels) in the order the GPU pipeline issues them; all of
+  them are priced from the pattern alone. The engine keeps the launch
+  slice of a build in :attr:`AssemblyPlan.launches` and *replays* it on
+  every reuse, so the modelled device seconds are bit-identical whether
+  the plan hit or missed;
+* the scatter sanitizer sees the segment-write targets on every
+  assembly (the plan calls :func:`~repro.lint.sanitize.scatter_check`
   itself), so planted ``scatter_duplicate_index`` faults are detected
   on the reuse path too.
 
@@ -49,14 +49,26 @@ import numpy as np
 from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.gpu.counters import KernelCounters
 from repro.gpu.kernel import VirtualDevice
+from repro.gpu.memory import coalesced_transactions, gather_transactions
+from repro.gpu.warp import WARP_SIZE
 from repro.lint.sanitize import scatter_check
-from repro.primitives.reduce import segment_boundaries, segmented_reduce
-from repro.primitives.scatter import scatter_add
+from repro.primitives.radix_sort import radix_sort_pairs
+from repro.primitives.reduce import (
+    segment_boundaries,
+    segmented_reduce,
+    segmented_reduce_counters,
+)
+from repro.util.validation import check_array
+
+#: Bytes of one 6x6 float64 payload.
+_BLOCK_BYTES = BS * BS * 8
+#: Stand-in payload for the radix sort: only its item size is priced.
+_PAYLOAD = np.zeros(1)
 
 
 @dataclass
 class AssemblyPlan:
-    """One cached symbolic assembly: pattern, permutation, replay ledger.
+    """One cached symbolic assembly: pattern, permutations, replay ledger.
 
     Attributes
     ----------
@@ -66,6 +78,10 @@ class AssemblyPlan:
         ``(q,)`` diagonal contribution pattern the plan was built for.
     off_rows, off_cols:
         ``(m,)`` off-diagonal contribution pattern (either orientation).
+    diag_perm, diag_starts, diag_out:
+        ``(q,)`` stable sort permutation of ``diag_idx``, ``(d,)``
+        segment starts into the sorted stream and ``(d,)`` the block
+        each segment sums into.
     swap:
         ``(m,)`` bool — contributions needing the upper-triangle
         transpose.
@@ -77,34 +93,26 @@ class AssemblyPlan:
         ``(s,)`` unique canonical pair keys (the segment identities).
     out_rows, out_cols:
         ``(s,)`` output block coordinates, sorted and unique.
-    diag_mode:
-        ``"scatter"`` replays :func:`assemble_serial`'s diagonal
-        (``np.add.at``); ``"segment"`` replays :func:`assemble_gpu`'s
-        (stable sort + segment reduction). The two accumulation orders
-        differ by ulps when diagonal indices repeat, so each engine
-        picks the mode matching its own assembler.
-    diag_perm, diag_starts, diag_out:
-        Diagonal sort permutation, segment starts and output indices
-        (``"segment"`` mode only; empty otherwise).
     launches:
-        The ``(name, counters)`` kernel-launch sequence the building
-        assembler recorded, replayed verbatim on each reuse.
+        The ``(name, counters)`` kernel launches the engine recorded
+        while building the plan — the Fig.-4 kernels when built on a
+        device, plus whatever the engine priced alongside — replayed
+        verbatim on each reuse.
     """
 
     n: int
     diag_idx: np.ndarray
     off_rows: np.ndarray
     off_cols: np.ndarray
+    diag_perm: np.ndarray
+    diag_starts: np.ndarray
+    diag_out: np.ndarray
     swap: np.ndarray
     perm: np.ndarray
     starts: np.ndarray
     ukey: np.ndarray
     out_rows: np.ndarray
     out_cols: np.ndarray
-    diag_mode: str = "scatter"
-    diag_perm: np.ndarray | None = None
-    diag_starts: np.ndarray | None = None
-    diag_out: np.ndarray | None = None
     launches: tuple[tuple[str, KernelCounters], ...] = ()
 
     @classmethod
@@ -114,62 +122,101 @@ class AssemblyPlan:
         diag_idx: np.ndarray,
         off_rows: np.ndarray,
         off_cols: np.ndarray,
-        launches: tuple[tuple[str, KernelCounters], ...] = (),
-        diag_mode: str = "scatter",
+        device: VirtualDevice | None = None,
     ) -> "AssemblyPlan":
         """Run the symbolic phase for one contribution pattern.
 
-        ``diag_idx`` is ``(q,)``, ``off_rows`` / ``off_cols`` are
-        ``(m,)`` in either orientation; ``launches`` is the kernel
-        ledger slice recorded while the full assembler built this
-        pattern (replayed on reuse); ``diag_mode`` selects the diagonal
-        accumulation order (see class docstring).
+        ``diag_idx`` is ``(q,)`` block indices (duplicates allowed),
+        ``off_rows`` / ``off_cols`` are ``(m,)`` in either orientation
+        (duplicates allowed, ``off_rows[k] == off_cols[k]`` rejected).
+        With a ``device`` the Fig.-4 launches are recorded on it.
         """
-        if diag_mode not in ("scatter", "segment"):
-            raise ValueError(
-                f"diag_mode must be 'scatter' or 'segment', got {diag_mode!r}"
-            )
-        diag_perm = diag_starts = diag_out = None
-        if diag_mode == "segment" and diag_idx.size:
-            diag_perm = np.argsort(diag_idx, kind="stable")
-            sdiag = diag_idx[diag_perm]
-            diag_starts = segment_boundaries(sdiag)
-            diag_out = sdiag[diag_starts]
+        diag_idx = check_array("diag_idx", diag_idx, dtype=np.int64, ndim=1)
+        off_rows = check_array("off_rows", off_rows, dtype=np.int64, ndim=1)
         m = off_rows.shape[0]
-        if m == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return cls(
-                n=n, diag_idx=diag_idx.copy(),
-                off_rows=z, off_cols=z.copy(),
-                swap=np.zeros(0, dtype=bool), perm=z.copy(),
-                starts=z.copy(), ukey=z.copy(),
-                out_rows=z.copy(), out_cols=z.copy(),
-                diag_mode=diag_mode, diag_perm=diag_perm,
-                diag_starts=diag_starts, diag_out=diag_out,
-                launches=launches,
+        off_cols = check_array("off_cols", off_cols, dtype=np.int64,
+                               shape=(m,))
+        if m and np.any(off_rows == off_cols):  # lint: sync-ok[validation-gate] -- rejects malformed contribution streams
+            raise ValueError("off-diagonal contribution with row == col")
+        q = diag_idx.shape[0]
+
+        # --- diagonal: sort indices, segment-reduce ---
+        sdiag, diag_perm = radix_sort_pairs(
+            diag_idx, _PAYLOAD, device if q else None,
+            key_bits=max(1, int(n - 1).bit_length()),
+        )
+        diag_starts = segment_boundaries(sdiag)
+        if device is not None and q:
+            device.launch(
+                "segmented_reduce",
+                segmented_reduce_counters(q, BS * BS, diag_starts.size),
             )
+
+        # --- off-diagonal: canonicalise, sort by pair key, segment-reduce
         swap = off_rows > off_cols
-        r = np.where(swap, off_cols, off_rows)
-        c = np.where(swap, off_rows, off_cols)
-        key = r * n + c
-        perm = np.argsort(key, kind="stable")
-        skey = key[perm]
+        key = np.where(swap, off_cols, off_rows) * n + np.where(
+            swap, off_rows, off_cols
+        )
+        if device is not None and m:
+            # the canonicalisation kernel: one transpose decision per entry
+            entry = 16 + _BLOCK_BYTES
+            device.launch(
+                "canonical_orient",
+                KernelCounters(
+                    flops=2.0 * m,
+                    global_bytes_read=m * entry,
+                    global_bytes_written=m * entry,
+                    global_txn_read=coalesced_transactions(m, entry),
+                    global_txn_written=coalesced_transactions(m, entry),
+                    threads=m,
+                    warps=max(1, m // WARP_SIZE),
+                    branch_regions=max(1, m // WARP_SIZE),
+                    divergent_branch_regions=max(1, m // WARP_SIZE) * 0.5,
+                ),
+            )
+        skey, perm = radix_sort_pairs(
+            key, _PAYLOAD, device if m else None,
+            key_bits=max(1, int(n * n - 1).bit_length()),
+        )
         starts = segment_boundaries(skey)
+        if device is not None and m:
+            # the final payload gather (sub-matrices move once, per the
+            # paper), then the segmented reduction
+            device.launch(
+                "gather_submatrices",
+                KernelCounters(
+                    flops=0.0,
+                    global_bytes_read=m * _BLOCK_BYTES,
+                    global_bytes_written=m * _BLOCK_BYTES,
+                    global_txn_read=float(
+                        gather_transactions(perm, _BLOCK_BYTES)
+                    ),
+                    global_txn_written=coalesced_transactions(
+                        m, _BLOCK_BYTES
+                    ),
+                    threads=m * BS,
+                    warps=max(1, m * BS // WARP_SIZE),
+                ),
+            )
+            device.launch(
+                "segmented_reduce",
+                segmented_reduce_counters(m, BS * BS, starts.size),
+            )
         ukey = skey[starts]
         return cls(
             n=n,
             diag_idx=diag_idx.copy(),
             off_rows=off_rows.copy(),
             off_cols=off_cols.copy(),
+            diag_perm=diag_perm,
+            diag_starts=diag_starts,
+            diag_out=sdiag[diag_starts],
             swap=swap,
             perm=perm,
             starts=starts,
             ukey=ukey,
-            out_rows=(ukey // n).astype(np.int64),
-            out_cols=(ukey % n).astype(np.int64),
-            diag_mode=diag_mode, diag_perm=diag_perm,
-            diag_starts=diag_starts, diag_out=diag_out,
-            launches=launches,
+            out_rows=ukey // n,
+            out_cols=ukey % n,
         )
 
     # ------------------------------------------------------------------
@@ -202,31 +249,28 @@ class AssemblyPlan:
         """Numeric-only assembly under the cached symbolic phase.
 
         ``diag_blocks`` is ``(q, 6, 6)``, ``off_blocks`` is
-        ``(m, 6, 6)`` in the orientation of the plan's input pattern.
-        Produces a :class:`BlockMatrix` bit-identical to running the
-        full assembler the plan's ``diag_mode`` mirrors on the same
-        contributions.
+        ``(m, 6, 6)`` in the orientation of the plan's input pattern
+        (``K_ji`` inputs are transposed into ``K_ij``). Each block's
+        contributions are summed left to right in stable-sorted order.
         """
-        m = self.off_rows.shape[0]
         q = self.diag_idx.shape[0]
+        m = self.off_rows.shape[0]
+        diag_blocks = check_array("diag_blocks", diag_blocks,
+                                  dtype=np.float64, shape=(q, BS, BS))
+        off_blocks = check_array("off_blocks", off_blocks,
+                                 dtype=np.float64, shape=(m, BS, BS))
         diag = np.zeros((self.n, BS, BS))
-        if self.diag_mode == "segment" and q:
+        if q:
             sums = segmented_reduce(
                 diag_blocks[self.diag_perm].reshape(q, BS * BS),
                 self.diag_starts,
             )
             scatter_check("assembly_plan.diag_segment_write", self.diag_out)
             diag[self.diag_out] = sums.reshape(-1, BS, BS)
-        else:
-            scatter_check(
-                "assembly_plan.diag_scatter_add", self.diag_idx,
-                reduction="sum",
-            )
-            scatter_add(diag, self.diag_idx, diag_blocks)
         if m == 0:
-            z = np.zeros(0, dtype=np.int64)
             return BlockMatrix(
-                self.n, diag, z, z.copy(), np.zeros((0, BS, BS))
+                self.n, diag, self.out_rows, self.out_cols,
+                np.zeros((0, BS, BS)),
             )
         b = np.where(
             self.swap[:, None, None],

@@ -1,6 +1,12 @@
 """Broad-phase contact detection: AABB overlap over all block pairs.
 
 Serial DDA walks the strict upper triangle of the ``n x n`` pair matrix.
+Every engine runs the vectorised test of :func:`broad_phase_pairs`; the
+serial engine sorts its pairs row-major (:func:`sort_pairs`), the order
+the upper-triangle loop visits them, and prices the loop. The loop
+itself survives only as :func:`broad_phase_pairs_python`, the test
+reference.
+
 On the GPU the triangle causes load imbalance (thread ``i`` tests ``n - i``
 pairs), so the paper reshapes it into an ``n x ceil(n/2)`` *full* matrix:
 row ``i``'s tests are the pairs ``(i, i+1..i+n/2)`` wrapped modulo ``n``,
@@ -114,11 +120,11 @@ def broad_phase_pairs(
 def broad_phase_pairs_python(
     aabbs: np.ndarray, margin: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pure-Python upper-triangular broad phase (the serial baseline).
+    """Pure-Python upper-triangular broad phase (the test reference).
 
-    ``aabbs`` has shape ``(n, 4)``; produces the same 1-D pair arrays as
-    :func:`broad_phase_pairs` (possibly in a different order; both are
-    sorted before return).
+    ``aabbs`` has shape ``(n, 4)``; returns 1-D int64 pair arrays in
+    row-major order, bit-identical to
+    ``sort_pairs(*broad_phase_pairs(aabbs, margin))``.
     """
     aabbs = check_array("aabbs", aabbs, dtype=np.float64, shape=(None, 4))
     n = aabbs.shape[0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import bsr_matrix
 
-from repro.assembly.global_matrix import BS, BlockMatrix, _canonical_offdiag
+from repro.assembly.global_matrix import BS, BlockMatrix
 from repro.domain.halo import DomainMap, ExchangePlan
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import coalesced_transactions
@@ -74,7 +74,12 @@ def _submatrix(
 ) -> BlockMatrix:
     """Canonicalised :class:`BlockMatrix` from relabelled ``(m,)`` entries."""
     strict = rows != cols
-    r, c, b = _canonical_offdiag(rows[strict], cols[strict], blocks[strict])
+    rows, cols, blocks = rows[strict], cols[strict], blocks[strict]
+    # upper-triangle orientation: K_ji entries become K_ij^T
+    swap = rows > cols
+    r = np.where(swap, cols, rows)
+    c = np.where(swap, rows, cols)
+    b = np.where(swap[:, None, None], blocks.transpose(0, 2, 1), blocks)
     order = np.argsort(r * n + c, kind="stable")
     return BlockMatrix(
         n=n, diag=diag.copy(), rows=r[order], cols=c[order],

@@ -1,21 +1,22 @@
 """The two DDA pipelines.
 
 * :class:`~repro.engine.serial_engine.SerialEngine` — the paper's Fig. 1:
-  the original serial pipeline (pure-Python broad phase, per-contact state
-  loops), whose modelled time is charged to the E5620 CPU profile.
+  the original serial pipeline, whose stages are priced as the serial
+  loops (upper-triangular broad phase, per-contact state checks) on the
+  E5620 CPU profile.
 * :class:`~repro.engine.gpu_engine.GpuEngine` — the paper's Fig. 2: the
   restructured data-classification pipeline, fully vectorised, every
   kernel recorded on a virtual K20/K40.
 
-Both engines integrate the same physics (`repro.engine.physics`) and
-produce the same trajectories — the pipeline-equivalence property the
-paper relies on when comparing runtimes.
+Both engines run the same host code for every stage (`repro.engine.physics`,
+the vectorised broad phase, the assembly plan, the open–close driver) and
+differ only in the launches they price — the pipeline-equivalence
+property the paper relies on when comparing runtimes.
 """
 
 from repro.engine.physics import (
     diagonal_system,
     contact_system,
-    update_contact_states,
     StateUpdate,
 )
 from repro.engine.resilience import (
@@ -55,7 +56,6 @@ __all__ = [
     "HybridEngine",
     "diagonal_system",
     "contact_system",
-    "update_contact_states",
     "StateUpdate",
     "SimulationResult",
     "StepRecord",

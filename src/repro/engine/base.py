@@ -70,13 +70,6 @@ class EngineBase:
     #: Device profile subclasses charge their kernels to.
     default_profile: DeviceProfile = K40
 
-    #: Diagonal accumulation order of this engine's assembler, mirrored
-    #: by the cached :class:`AssemblyPlan` so symbolic reuse stays
-    #: bit-identical per engine: ``"scatter"`` (``assemble_serial``'s
-    #: ``np.add.at``) or ``"segment"`` (``assemble_gpu``'s stable sort +
-    #: segment reduction).
-    _assembly_diag_mode: str = "scatter"
-
     def __init__(
         self,
         system: BlockSystem,
@@ -271,14 +264,14 @@ class EngineBase:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def _assemble(
+    def _plan_assembly(
         self,
         diag_idx: np.ndarray,
-        diag_blocks: np.ndarray,
         off_rows: np.ndarray,
         off_cols: np.ndarray,
-        off_blocks: np.ndarray,
-    ) -> BlockMatrix:
+    ) -> AssemblyPlan:
+        """Build the :class:`AssemblyPlan` of one contribution pattern and
+        price one assembly of it on ``self.device``."""
         raise NotImplementedError
 
     def _check_interpenetration(
@@ -560,7 +553,7 @@ class EngineBase:
         self.metrics.inc("open_close.sweeps")
         return driver.sweep(d, prev_normal_force)
 
-    def _assemble_cached(
+    def _assemble(
         self,
         diag_idx: np.ndarray,
         diag_blocks: np.ndarray,
@@ -571,18 +564,14 @@ class EngineBase:
         """Assemble, reusing the symbolic phase when the pattern repeats.
 
         On a cache hit (exact :meth:`AssemblyPlan.matches` comparison of
-        the contribution pattern) only the numeric phase runs; the
-        plan's captured kernel-launch ledger is replayed on the virtual
-        device so the modelled seconds are bit-identical to a full
-        assembly, and the ``assembly.symbolic_reuse`` counter is bumped.
-        On a miss the subclass assembler runs normally while its
-        launches are captured into a fresh plan. ``controls.
-        symbolic_reuse = False`` bypasses the cache entirely.
+        the contribution pattern) the plan's captured kernel-launch
+        ledger is replayed on the virtual device, so the modelled
+        seconds are bit-identical to a full assembly, and the
+        ``assembly.symbolic_reuse`` counter is bumped. On a miss the
+        engine's :meth:`_plan_assembly` builds a fresh plan, and every
+        launch it records is captured into the plan. Either way only
+        the plan's numeric phase sums the contributions.
         """
-        if not self.controls.symbolic_reuse:
-            return self._assemble(
-                diag_idx, diag_blocks, off_rows, off_cols, off_blocks
-            )
         plan = self._assembly_plan
         if (
             plan is not None
@@ -591,19 +580,14 @@ class EngineBase:
         ):
             self.metrics.inc("assembly.symbolic_reuse")
             plan.replay(self.device)
-            return plan.assemble(diag_blocks, off_blocks)
-        n0 = len(self.device.records)
-        matrix = self._assemble(
-            diag_idx, diag_blocks, off_rows, off_cols, off_blocks
-        )
-        self._assembly_plan = AssemblyPlan.build(
-            self.system.n_blocks, diag_idx, off_rows, off_cols,
-            launches=tuple(
+        else:
+            n0 = len(self.device.records)
+            plan = self._plan_assembly(diag_idx, off_rows, off_cols)
+            plan.launches = tuple(
                 (r.name, r.counters) for r in self.device.records[n0:]
-            ),
-            diag_mode=self._assembly_diag_mode,
-        )
-        return matrix
+            )
+            self._assembly_plan = plan
+        return plan.assemble(diag_blocks, off_blocks)
 
     def _run_one_step(
         self,
@@ -645,7 +629,7 @@ class EngineBase:
             # proactive symbolic-assembly invalidation: the transfer
             # layer knows whether the contact-set topology moved; if it
             # did, the cached plan cannot match and is dropped up front
-            # (the exact pattern compare in _assemble_cached remains the
+            # (the exact pattern compare in _assemble remains the
             # correctness gate either way)
             if self._plan_contacts is None or topology_changed(
                 self._plan_contacts, contacts,
@@ -676,7 +660,7 @@ class EngineBase:
                      f_contact) = self._build_nondiagonal(
                         contacts, normal_force
                     )
-                    matrix = self._assemble_cached(
+                    matrix = self._assemble(
                         np.concatenate([diag_idx, c_diag_idx]),
                         np.concatenate([diag_blocks, c_diag_blocks]),
                         rows, cols, blocks,

@@ -1,10 +1,12 @@
 """Domain-decomposed engine: the executable multi-device path.
 
 :class:`DomainEngine` runs the serial pipeline's physics stage for
-stage — detection, assembly, interpenetration checking and updating are
-exactly :class:`~repro.engine.serial_engine.SerialEngine`'s — but the
-equation solve is distributed across ``n_domains`` per-domain
-:class:`~repro.gpu.kernel.VirtualDevice` ledgers:
+stage — detection (the vectorised broad phase in row-major pair order),
+assembly (the cached :class:`~repro.assembly.symbolic.AssemblyPlan`),
+interpenetration checking and updating are exactly
+:class:`~repro.engine.serial_engine.SerialEngine`'s, priced the same
+way — but the equation solve is distributed across ``n_domains``
+per-domain :class:`~repro.gpu.kernel.VirtualDevice` ledgers:
 
 1. at construction the blocks are partitioned once via
    :func:`repro.domain.partition.partition_blocks` (graph partition

@@ -17,13 +17,9 @@ from repro.assembly.contact_springs import (
     normal_spring_vectors,
     shear_spring_vectors,
 )
-from repro.contact.open_close import OpenCloseDriver, StateUpdate
+from repro.contact.open_close import StateUpdate
 from repro.assembly.submatrices import (
-    body_force_vector,
-    elastic_submatrix,
     fixed_point_contribution,
-    inertia_contribution,
-    initial_stress_vector,
     point_load_vector,
 )
 from repro.contact.contact_set import ContactSet
@@ -149,37 +145,6 @@ def contact_system(
     )
 
 
-def update_contact_states(
-    system: BlockSystem,
-    contacts: ContactSet,
-    d: np.ndarray,
-    *,
-    tension_tolerance: float = 0.0,
-    prev_normal_force: np.ndarray | None = None,
-    force_tolerance: float = 0.0,
-) -> StateUpdate:
-    """The open–close rule, vectorised (the GPU engine's restructured form).
-
-    Evaluates each contact's post-solve normal penetration ``d_n`` and
-    tangential displacement ``d_s``:
-
-    * ``d_n`` above the tension tolerance -> OPEN;
-    * otherwise closed; Mohr–Coulomb: ``|p_s d_s| > N tan(phi) + c L``
-      -> SLIDE (with the shear direction's sign), else LOCK.
-
-    One-shot convenience over :class:`~repro.contact.open_close.
-    OpenCloseDriver`: the engines build the driver once per step and
-    call :meth:`~repro.contact.open_close.OpenCloseDriver.sweep` per
-    open–close iteration, amortising the geometry precomputation.
-    """
-    driver = OpenCloseDriver.build(
-        system, contacts,
-        tension_tolerance=tension_tolerance,
-        force_tolerance=force_tolerance,
-    )
-    return driver.sweep(d, prev_normal_force)
-
-
 def update_contact_states_serial(
     system: BlockSystem,
     contacts: ContactSet,
@@ -189,11 +154,19 @@ def update_contact_states_serial(
     prev_normal_force: np.ndarray | None = None,
     force_tolerance: float = 0.0,
 ) -> StateUpdate:
-    """Per-contact Python loop version of :func:`update_contact_states`.
+    """The open–close rule as a per-contact Python loop.
 
-    The serial engine's interpenetration check — the branchy CPU code of
-    the paper's Section III.D example, kept as an independent
-    implementation so the pipeline-equivalence test is meaningful.
+    Evaluates each contact's post-solve normal penetration ``d_n`` and
+    tangential displacement ``d_s``:
+
+    * ``d_n`` above the tension tolerance -> OPEN;
+    * otherwise closed; Mohr–Coulomb: ``|p_s d_s| > N tan(phi) + c L``
+      -> SLIDE (with the shear direction's sign), else LOCK.
+
+    The branchy CPU code of the paper's Section III.D example, kept as
+    the independent scalar reference the vectorised
+    :class:`~repro.contact.open_close.OpenCloseDriver` (every engine's
+    interpenetration check) is pinned against.
     """
     m = contacts.m
     states = np.empty(m, dtype=np.int64)

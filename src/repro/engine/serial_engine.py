@@ -1,32 +1,60 @@
 """The Fig.-1 serial pipeline (the paper's CPU baseline).
 
-Module implementations are deliberately the *serial* formulations:
-upper-triangular pure-Python broad phase, scatter-add assembly, and a
-per-contact interpenetration check whose modelled cost is the branchy
-single-core loop (the loop itself survives as
-:func:`repro.engine.physics.update_contact_states_serial`, the reference
-implementation the equivalence tests pin the vectorised open–close
-driver against). The physics is identical to the GPU engine's (the
-pipeline-equivalence tests verify it); the modelled cost is charged to
-the single-core E5620 profile.
+The engine computes exactly what the GPU engine computes — the same
+vectorised broad phase, the same :class:`~repro.assembly.symbolic.
+AssemblyPlan` assembly, the same open–close driver — and differs only
+in the launches it prices: every stage is charged as the serial
+formulation (the upper-triangular broad-phase loop, the scatter-add
+assembly, the branchy per-contact interpenetration check) on the
+single-core E5620 profile. Those loops survive as the test references
+:func:`~repro.contact.broad_phase.broad_phase_pairs_python` and
+:func:`~repro.engine.physics.update_contact_states_serial`.
+
+The four CPU-stage pricings the hybrid engine shares are defined once
+here (:func:`charge_serial`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.assembly.global_matrix import BlockMatrix, assemble_serial
-from repro.contact.broad_phase import broad_phase_pairs_python
+from repro.assembly.symbolic import AssemblyPlan
+from repro.contact.broad_phase import broad_phase_pairs, sort_pairs
 from repro.contact.contact_set import ContactSet
 from repro.contact.initialization import initialize_contacts_unclassified
 from repro.contact.narrow_phase import narrow_phase
 from repro.contact.transfer import transfer_contacts
-from repro.core.blocks import BlockSystem
-from repro.core.state import SimulationControls
 from repro.engine.base import EngineBase
 from repro.engine.physics import contact_system, diagonal_system
 from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceProfile, E5620
+from repro.gpu.kernel import VirtualDevice
+
+#: Single-core cost per unit ``(flops, bytes read, bytes written)`` of
+#: the CPU stages the serial and hybrid engines share. The unit is a
+#: block, a contact, a contribution and a vertex, in that order.
+SERIAL_STAGE_COSTS = {
+    # mass integrals + elastic + fixed springs
+    "serial_diagonal_build": (700.0, 400.0, 36.0 * 8),
+    "serial_nondiagonal_build": (3 * 36 * 4 + 200.0, 500.0, 3 * 36.0 * 8),
+    "serial_scatter_assembly": (36.0, 36.0 * 8, 36.0 * 8),
+    "serial_data_update": (30.0, 16.0, 16.0),
+}
+
+
+def charge_serial(device: VirtualDevice, name: str, units: int) -> None:
+    """Record CPU stage ``name`` over ``units`` (scalar) items on
+    ``device``, priced from :data:`SERIAL_STAGE_COSTS`."""
+    flops, read, written = SERIAL_STAGE_COSTS[name]
+    device.launch(
+        name,
+        KernelCounters(
+            flops=flops * units,
+            global_bytes_read=read * units,
+            global_bytes_written=written * units,
+            threads=1, warps=1,
+        ),
+    )
 
 
 class SerialEngine(EngineBase):
@@ -34,24 +62,12 @@ class SerialEngine(EngineBase):
 
     default_profile: DeviceProfile = E5620
 
-    def __init__(
-        self,
-        system: BlockSystem,
-        controls: SimulationControls | None = None,
-        profile: DeviceProfile | None = None,
-        fault_injector=None,
-        tracer=None,
-        metrics=None,
-    ) -> None:
-        super().__init__(
-            system, controls, profile, fault_injector,
-            tracer=tracer, metrics=metrics,
-        )
-
     # ------------------------------------------------------------------
     def _detect_contacts(self) -> ContactSet:
         system = self.system
-        i, j = broad_phase_pairs_python(system.aabbs, self.contact_threshold)
+        i, j = sort_pairs(
+            *broad_phase_pairs(system.aabbs, self.contact_threshold)
+        )
         n = system.n_blocks
         # serial cost: n(n-1)/2 AABB tests, ~8 flops and 64 bytes each
         tests = n * (n - 1) / 2.0
@@ -109,48 +125,23 @@ class SerialEngine(EngineBase):
     # ------------------------------------------------------------------
     def _build_diagonal(self):
         out = diagonal_system(self.system, self.controls, self.dt, self.sim_time)
-        n = self.system.n_blocks
-        self.device.launch(
-            "serial_diagonal_build",
-            KernelCounters(
-                flops=700.0 * n,  # mass integrals + elastic + fixed springs
-                global_bytes_read=400.0 * n,
-                global_bytes_written=36.0 * 8 * n,
-                threads=1, warps=1,
-            ),
-        )
+        charge_serial(self.device, "serial_diagonal_build", self.system.n_blocks)
         return out
 
     def _build_nondiagonal(self, contacts, normal_force):
         out = contact_system(self.system, contacts, normal_force)
-        m = contacts.m
-        self.device.launch(
-            "serial_nondiagonal_build",
-            KernelCounters(
-                flops=(3 * 36 * 4 + 200.0) * m,
-                global_bytes_read=500.0 * m,
-                global_bytes_written=3 * 36.0 * 8 * m,
-                threads=1, warps=1,
-            ),
-        )
+        charge_serial(self.device, "serial_nondiagonal_build", contacts.m)
         return out
 
-    def _assemble(self, diag_idx, diag_blocks, off_rows, off_cols, off_blocks):
-        matrix = assemble_serial(
-            self.system.n_blocks, diag_idx, diag_blocks,
-            off_rows, off_cols, off_blocks,
+    def _plan_assembly(self, diag_idx, off_rows, off_cols):
+        plan = AssemblyPlan.build(
+            self.system.n_blocks, diag_idx, off_rows, off_cols
         )
-        total = diag_idx.size + off_rows.size
-        self.device.launch(
-            "serial_scatter_assembly",
-            KernelCounters(
-                flops=36.0 * total,
-                global_bytes_read=36.0 * 8 * total,
-                global_bytes_written=36.0 * 8 * total,
-                threads=1, warps=1,
-            ),
+        charge_serial(
+            self.device, "serial_scatter_assembly",
+            diag_idx.size + off_rows.size,
         )
-        return matrix
+        return plan
 
     def _check_interpenetration(self, contacts, d, prev_normal_force):
         # the vectorised driver sweep (its per-contact scalar twin,
@@ -171,13 +162,6 @@ class SerialEngine(EngineBase):
 
     def _update_data(self, d):
         self._apply_geometry_update(d)
-        v = self.system.vertices.shape[0]
-        self.device.launch(
-            "serial_data_update",
-            KernelCounters(
-                flops=30.0 * v,
-                global_bytes_read=16.0 * v,
-                global_bytes_written=16.0 * v,
-                threads=1, warps=1,
-            ),
+        charge_serial(
+            self.device, "serial_data_update", self.system.vertices.shape[0]
         )

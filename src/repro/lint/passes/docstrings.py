@@ -2,7 +2,7 @@
 
 Every public module-level function on the kernel path moves arrays
 whose shapes encode the pipeline's data layout (``(m, 6, 6)``
-contribution streams, ``(n_workers + 1, 2)`` merge-path coordinates...).
+contribution streams, ``(n + 1,)`` row pointers...).
 The docstring must say what those shapes are: a parenthesised tuple with
 a comma (``(n, 4)``, ``(q,)``), a dimensionality tag (``1-D``/``2-D``),
 or the words ``shape`` / ``scalar``. Functions taking and returning only

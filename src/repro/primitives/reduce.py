@@ -102,26 +102,38 @@ def segmented_reduce(
         return values[:0]
     if starts[0] != 0:  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
         raise ValueError("starts[0] must be 0")
-    if np.any(np.diff(starts) <= 0) or starts[-1] >= max(1, values.shape[0]):  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
-        # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
-        if values.shape[0] > 0 and (
-            np.any(np.diff(starts) <= 0) or starts[-1] >= values.shape[0]
-        ):
-            raise ValueError("starts must be strictly increasing and in range")
+    n = values.shape[0]
+    # an empty stream is left to segment_sum
+    if n and (np.any(np.diff(starts) <= 0) or starts[-1] >= n):  # lint: sync-ok[validation-gate] -- segment layout check, raises before launch
+        raise ValueError("starts must be strictly increasing and in range")
     if device is not None and values.size:
-        row_bytes = values.itemsize * (values.shape[1] if values.ndim == 2 else 1)
-        n = values.shape[0]
         device.launch(
             "segmented_reduce",
-            KernelCounters(
-                flops=float(values.size),
-                global_bytes_read=n * row_bytes + starts.size * 8,
-                global_bytes_written=starts.size * row_bytes,
-                global_txn_read=coalesced_transactions(n, row_bytes),
-                global_txn_written=coalesced_transactions(starts.size, row_bytes),
-                shared_accesses=2.0 * n,
-                threads=n,
-                warps=max(1, n // WARP_SIZE),
+            segmented_reduce_counters(
+                n, values.size // n, starts.size, values.itemsize
             ),
         )
     return segment_sum(values, starts, axis=0)
+
+
+def segmented_reduce_counters(
+    n: int, width: int, segments: int, itemsize: int = 8
+) -> KernelCounters:
+    """Counters of one :func:`segmented_reduce` launch.
+
+    Every argument is a scalar: ``n`` rows of ``width`` items of
+    ``itemsize`` bytes summed into ``segments`` rows. A caller that
+    knows the segment layout before the values exist (the symbolic
+    assembly plan) prices the launch with this alone.
+    """
+    row_bytes = itemsize * width
+    return KernelCounters(
+        flops=float(n * width),
+        global_bytes_read=n * row_bytes + segments * 8,
+        global_bytes_written=segments * row_bytes,
+        global_txn_read=coalesced_transactions(n, row_bytes),
+        global_txn_written=coalesced_transactions(segments, row_bytes),
+        shared_accesses=2.0 * n,
+        threads=n,
+        warps=max(1, n // WARP_SIZE),
+    )

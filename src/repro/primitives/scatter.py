@@ -11,7 +11,7 @@ reviewed module that a backend shim can swap wholesale.
 
 Every wrapper is a **pure pass-through**: no virtual-device launches,
 no counter updates, no copies — the call sites' modelled costs and
-bit-exact results (the ``diag_mode`` replay contract, the domain
+bit-exact results (the assembly plan's segment sums, the domain
 bit-identity pins) are unchanged by routing through this seam.
 """
 

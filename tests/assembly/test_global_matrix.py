@@ -24,6 +24,12 @@ def random_contributions(rng, n, q, m):
     return diag_idx.astype(np.int64), diag_blocks, off[:, 0], off[:, 1], off_blocks
 
 
+def assert_same_matrix(a, b):
+    """Bit-for-bit equality of two assembled matrices."""
+    for name in ("diag", "rows", "cols", "blocks"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 def dense_reference(n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks):
     a = np.zeros((n * BS, n * BS))
     for idx, blk in zip(diag_idx, diag_blocks):
@@ -147,14 +153,14 @@ class TestAssembleGpu:
         args = random_contributions(rng, n=8, q=25, m=40)
         serial = assemble_serial(8, *args)
         gpu = assemble_gpu(8, *args, device=device)
-        np.testing.assert_allclose(gpu.to_dense(), serial.to_dense(), atol=1e-12)
+        assert_same_matrix(gpu, serial)
         assert device.launches() > 0
 
     def test_works_without_device(self, rng):
         args = random_contributions(rng, n=5, q=10, m=12)
         gpu = assemble_gpu(5, *args)
         serial = assemble_serial(5, *args)
-        np.testing.assert_allclose(gpu.to_dense(), serial.to_dense(), atol=1e-12)
+        assert_same_matrix(gpu, serial)
 
     def test_empty_offdiag(self, rng):
         bm = assemble_gpu(
@@ -171,6 +177,4 @@ class TestAssembleGpu:
         rng = np.random.default_rng(seed)
         n = 7
         args = random_contributions(rng, n=n, q=n, m=m)
-        a = assemble_serial(n, *args).to_dense()
-        b = assemble_gpu(n, *args).to_dense()
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        assert_same_matrix(assemble_serial(n, *args), assemble_gpu(n, *args))

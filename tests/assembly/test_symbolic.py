@@ -26,11 +26,10 @@ def contribution_stream(seed, n=7, q=24, m=40):
 class TestPlanBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_both_assemblers(self, seed):
-        """Each diag_mode reproduces its assembler bit-for-bit.
+        """A plan reproduces both assemblers bit-for-bit.
 
-        The two assemblers themselves differ by ulps on the diagonal
-        when indices repeat (scatter-add vs sorted segment reduction),
-        which is exactly why the plan carries a mode.
+        Both assemblers are the plan, so they agree with each other too,
+        diagonal duplicates included.
         """
         n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks = (
             contribution_stream(seed)
@@ -42,13 +41,9 @@ class TestPlanBitIdentity:
             n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks,
             VirtualDevice(K40),
         )
-        # off-diagonal path is shared: the assemblers agree bit-for-bit
-        np.testing.assert_array_equal(ref_serial.blocks, ref_gpu.blocks)
-        for mode, ref in (("scatter", ref_serial), ("segment", ref_gpu)):
-            plan = AssemblyPlan.build(
-                n, diag_idx, off_rows, off_cols, diag_mode=mode
-            )
-            out = plan.assemble(diag_blocks, off_blocks)
+        plan = AssemblyPlan.build(n, diag_idx, off_rows, off_cols)
+        out = plan.assemble(diag_blocks, off_blocks)
+        for ref in (ref_serial, ref_gpu):
             np.testing.assert_array_equal(out.diag, ref.diag)
             np.testing.assert_array_equal(out.rows, ref.rows)
             np.testing.assert_array_equal(out.cols, ref.cols)
@@ -88,10 +83,12 @@ class TestLaunchReplay:
         assemble_gpu(
             n, diag_idx, diag_blocks, off_rows, off_cols, off_blocks, dev_a
         )
-        plan = AssemblyPlan.build(
-            n, diag_idx, off_rows, off_cols,
-            launches=tuple((r.name, r.counters) for r in dev_a.records),
-        )
+        dev_plan = VirtualDevice(K40)
+        plan = AssemblyPlan.build(n, diag_idx, off_rows, off_cols, dev_plan)
+        recorded = tuple((r.name, r.counters) for r in dev_plan.records)
+        assert recorded == tuple((r.name, r.counters) for r in dev_a.records)
+        # what an engine captures on a miss
+        plan.launches = recorded
         dev_b = VirtualDevice(K40)
         plan.replay(dev_b)
         assert [r.name for r in dev_b.records] == [

@@ -82,3 +82,61 @@ class TestBroadPhase:
         pi, pj = sort_pairs(*broad_phase_pairs_python(aabbs, 0.05))
         np.testing.assert_array_equal(gi, pi)
         np.testing.assert_array_equal(gj, pj)
+
+
+def serial_pairs(aabbs, margin):
+    """The serial engine's broad phase: vectorised test, row-major order."""
+    return sort_pairs(*broad_phase_pairs(aabbs, margin))
+
+
+def assert_same_pairs(got, ref):
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+class TestSerialEnginePairs:
+    """The serial engine's pairs are the upper-triangle loop's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 64, 301])
+    def test_random_boxes(self, n):
+        aabbs = random_aabbs(np.random.default_rng(n), n, world=8.0, size=2.0)
+        assert_same_pairs(serial_pairs(aabbs, 0.05),
+                          broad_phase_pairs_python(aabbs, 0.05))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_touching_exactly_at_the_margin(self, axis):
+        margin = 0.25
+        a = np.array([0.0, 0.0, 1.0, 1.0])
+        b = a.copy()
+        b[axis] = 1.0 + margin
+        b[axis + 2] = 2.0 + margin
+        touching = np.stack([a, b])
+        beyond = touching.copy()
+        beyond[1, axis] = np.nextafter(1.0 + margin, 2.0)
+        for aabbs, expect in ((touching, 1), (beyond, 0)):
+            got = serial_pairs(aabbs, margin)
+            assert got[0].size == expect
+            assert_same_pairs(got, broad_phase_pairs_python(aabbs, margin))
+
+    def test_engine_hands_these_pairs_to_the_narrow_phase(self, monkeypatch):
+        from repro.engine import serial_engine
+        from repro.meshing.slope_models import build_slope_model
+
+        seen = []
+        real = serial_engine.narrow_phase
+
+        def spy(system, i, j, *args, **kwargs):
+            seen.append((i, j))
+            return real(system, i, j, *args, **kwargs)
+
+        monkeypatch.setattr(serial_engine, "narrow_phase", spy)
+        eng = serial_engine.SerialEngine(
+            build_slope_model(joint_spacing=10.0, seed=0)
+        )
+        eng._detect_contacts()
+        (got,) = seen
+        assert got[0].size > 0
+        assert_same_pairs(got, broad_phase_pairs_python(
+            eng.system.aabbs, eng.contact_threshold
+        ))

@@ -3,13 +3,13 @@ import pytest
 
 from repro.assembly.contact_springs import LOCK, OPEN, SLIDE
 from repro.contact.contact_set import VE, ContactSet
+from repro.contact.open_close import OpenCloseDriver
 from repro.core.blocks import Block, BlockSystem, DOF
 from repro.core.materials import BlockMaterial, JointMaterial
 from repro.core.state import SimulationControls
 from repro.engine.physics import (
     contact_system,
     diagonal_system,
-    update_contact_states,
     update_contact_states_serial,
 )
 
@@ -128,7 +128,7 @@ class TestUpdateContactStates:
         s = stacked_system(gap=0.0)
         cs = contact_on_top(s)
         d = self._solve_like_displacement(s, down=-1e-4)
-        upd = update_contact_states(s, cs, d)
+        upd = OpenCloseDriver.build(s, cs).sweep(d)
         assert (upd.states != OPEN).all()
         assert upd.max_penetration == pytest.approx(1e-4)
         assert upd.changed == 2
@@ -138,7 +138,7 @@ class TestUpdateContactStates:
         cs = contact_on_top(s)
         cs.state[:] = LOCK
         d = self._solve_like_displacement(s, down=+1e-4)
-        upd = update_contact_states(s, cs, d)
+        upd = OpenCloseDriver.build(s, cs).sweep(d)
         assert (upd.states == OPEN).all()
 
     def test_shear_beyond_friction_slides(self):
@@ -148,7 +148,7 @@ class TestUpdateContactStates:
         d = np.zeros(s.n_dof)
         d[DOF + 0] = 1e-4   # tangential motion
         d[DOF + 1] = -1e-6  # slight compression
-        upd = update_contact_states(s, cs, d)
+        upd = OpenCloseDriver.build(s, cs).sweep(d)
         assert (upd.states == SLIDE).all()
         assert (upd.shear_sign < 0).all() or (upd.shear_sign > 0).all()
 
@@ -158,7 +158,7 @@ class TestUpdateContactStates:
         d = np.zeros(s.n_dof)
         d[DOF + 0] = 1e-6
         d[DOF + 1] = -1e-4  # strong compression
-        upd = update_contact_states(s, cs, d)
+        upd = OpenCloseDriver.build(s, cs).sweep(d)
         assert (upd.states == LOCK).all()
 
     def test_serial_matches_vectorised(self, rng):
@@ -167,7 +167,7 @@ class TestUpdateContactStates:
         cs.state[:] = [LOCK, OPEN]
         for _ in range(5):
             d = rng.normal(0, 1e-4, size=s.n_dof)
-            a = update_contact_states(s, cs, d)
+            a = OpenCloseDriver.build(s, cs).sweep(d)
             b = update_contact_states_serial(s, cs, d)
             np.testing.assert_array_equal(a.states, b.states)
             np.testing.assert_allclose(a.shear_sign, b.shear_sign)
@@ -177,5 +177,5 @@ class TestUpdateContactStates:
 
     def test_empty(self):
         s = stacked_system()
-        upd = update_contact_states(s, ContactSet.empty(), np.zeros(s.n_dof))
+        upd = OpenCloseDriver.build(s, ContactSet.empty()).sweep(np.zeros(s.n_dof))
         assert upd.changed == 0

@@ -56,6 +56,25 @@ class TestSegmentedReduce:
         with pytest.raises(ValueError):
             segmented_reduce(np.ones(4), np.array([0, 0], dtype=np.int64))
 
+    @pytest.mark.parametrize("starts", [[0, 2, 2], [0, 3, 1], [0, 1, 4]])
+    def test_rejects_non_increasing_or_out_of_range(self, starts):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            segmented_reduce(
+                np.ones((4, 3)), np.array(starts, dtype=np.int64)
+            )
+
+    def test_empty_values(self, device):
+        out = segmented_reduce(
+            np.zeros((0, 3)), np.zeros(0, dtype=np.int64), device
+        )
+        assert out.shape == (0, 3)
+        assert device.launches() == 0
+        # an empty stream skips the layout check: even non-increasing
+        # starts reach the reduction, which has nothing to index
+        for starts in ([0], [0, 0]):
+            with pytest.raises(IndexError):
+                segmented_reduce(np.zeros(0), np.array(starts, dtype=np.int64))
+
     def test_assembly_idiom_matches_bincount(self, rng):
         # the Fig-4 idiom: sort contributions by key, reduce runs
         keys = rng.integers(0, 20, size=200)

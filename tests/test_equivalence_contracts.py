@@ -9,7 +9,13 @@ Each test enforces one row of the contract table in
 * ``domain_spmv`` against the global SpMV, bitwise;
 * the BJ and SSOR-AI applies against their dense formulas, the same
   form of bound;
-* the modelled ledger of a fixed operand and vector sequence, bitwise.
+* the modelled ledger of a fixed operand and vector sequence, bitwise;
+* an assembly plan hit against a fresh plan, bitwise;
+* each assembled entry against ``math.fsum`` of its ``k``
+  contributions, ``|dK| <= gamma_k sum |contributions|``;
+* each engine's assembly ledger and the GPU engine's short runs against
+  the values recorded before the engines shared one assembly plan,
+  bitwise.
 
 ``gamma_k = k u / (1 - k u)`` with ``u = 2**-53``. Operands are drawn
 from ``synthetic_block_matrix`` sizes and captured from real solves of
@@ -17,6 +23,8 @@ small meshed slope and falling-rock models.
 """
 
 import functools
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +32,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.assembly.global_matrix import BS, BlockMatrix
+from repro.assembly.symbolic import AssemblyPlan
+from repro.core.materials import JointMaterial
 from repro.core.state import SimulationControls
 from repro.domain.assembly import domain_spmv, split_matrix
 from repro.domain.halo import (
@@ -33,6 +43,8 @@ from repro.domain.halo import (
     make_domain_devices,
 )
 from repro.engine.gpu_engine import GpuEngine
+from repro.engine.hybrid_engine import HybridEngine
+from repro.engine.serial_engine import SerialEngine
 from repro.gpu.device import K40
 from repro.gpu.kernel import VirtualDevice
 from repro.meshing.slope_models import (
@@ -246,3 +258,151 @@ def test_ledger_bit_identical():
         domain_spmv(dm, extended[dm.domain], dev)
     assert [r.name for r in dev.records] == LEDGER_LAUNCHES
     assert dev.total_time == LEDGER_TOTAL
+
+
+# --- assembly: plan hit vs fresh plan, entries vs fsum ------------------
+@st.composite
+def contribution_streams(draw):
+    """A contribution stream with repeated indices in both orientations."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    q = draw(st.integers(min_value=0, max_value=40))
+    m = draw(st.integers(min_value=0, max_value=60))
+    rng = np.random.default_rng(draw(vectors))
+    diag_idx = rng.integers(0, n, size=q)
+    off_rows = rng.integers(0, n, size=m)
+    off_cols = (off_rows + 1 + rng.integers(0, n - 1, size=m)) % n
+
+    def payload(k):
+        # mixed magnitudes: cancellation is where summation order shows
+        return rng.normal(size=(k, BS, BS)) * 10.0 ** rng.integers(
+            -6, 6, size=(k, BS, BS)
+        )
+
+    return n, diag_idx, off_rows, off_cols, payload
+
+
+@given(contribution_streams())
+@settings(max_examples=40, deadline=None)
+def test_assembly_plan_hit_bitwise(stream):
+    n, diag_idx, off_rows, off_cols, payload = stream
+    q, m = diag_idx.size, off_rows.size
+    plan = AssemblyPlan.build(n, diag_idx, off_rows, off_cols)
+    plan.assemble(payload(q), payload(m))
+    diag_blocks, off_blocks = payload(q), payload(m)
+    hit = plan.assemble(diag_blocks, off_blocks)
+    fresh = AssemblyPlan.build(n, diag_idx, off_rows, off_cols).assemble(
+        diag_blocks, off_blocks
+    )
+    for name in ("diag", "rows", "cols", "blocks"):
+        np.testing.assert_array_equal(getattr(hit, name), getattr(fresh, name))
+
+
+def check_against_fsum(block, contributions):
+    """Every entry of ``block`` within gamma_k of the exact sum."""
+    k = len(contributions)
+    if k == 0:
+        assert not block.any()
+        return
+    stack = np.stack(contributions).reshape(k, -1)
+    exact = np.array([math.fsum(col) for col in stack.T])
+    assert_within(block.reshape(-1), exact, np.abs(stack).sum(axis=0), k)
+
+
+@given(contribution_streams())
+@settings(max_examples=40, deadline=None)
+def test_assembly_entries_within_gamma_of_fsum(stream):
+    n, diag_idx, off_rows, off_cols, payload = stream
+    diag_blocks, off_blocks = payload(diag_idx.size), payload(off_rows.size)
+    a = AssemblyPlan.build(n, diag_idx, off_rows, off_cols).assemble(
+        diag_blocks, off_blocks
+    )
+    for i in range(n):
+        check_against_fsum(a.diag[i], list(diag_blocks[diag_idx == i]))
+    oriented = {}
+    for r, c, b in zip(off_rows, off_cols, off_blocks):
+        key, blk = ((r, c), b) if r < c else ((c, r), b.T)
+        oriented.setdefault(key, []).append(blk)
+    assert list(zip(a.rows, a.cols)) == sorted(oriented)
+    for r, c, blk in zip(a.rows, a.cols, a.blocks):
+        check_against_fsum(blk, oriented[(r, c)])
+
+
+# --- engines: the ledger and the GPU trajectory, pinned -----------------
+#: Launches and summed modelled seconds of one fresh-engine assembly of
+#: the smoke slope's first contribution stream, as recorded when each
+#: engine still ran its own assembler.
+ASSEMBLY_LEDGER = {
+    SerialEngine: (["serial_scatter_assembly"], "0x1.ca1e60820fa90p-13"),
+    GpuEngine: (
+        ["radix_pass0[0]", "radix_pass0[1]", "radix_pass0[2]",
+         "segmented_reduce", "canonical_orient"]
+        + [f"radix_pass{p}[{i}]" for p in (0, 1) for i in range(3)]
+        + ["gather_submatrices", "segmented_reduce"],
+        "0x1.250b6888c593ep-14",
+    ),
+    HybridEngine: (
+        ["serial_scatter_assembly", "pcie_h2d_matrix"],
+        "0x1.f7a6eb10da98cp-13",
+    ),
+}
+
+#: ``sha256(final vertices)[:16]`` and ``device.total_time`` of 3-step
+#: GPU-engine runs, as recorded when each engine still ran its own
+#: assembler.
+GPU_RUNS = {
+    "slope": ("434a682d611099ed", "0x1.960972a9b8027p-6"),
+    "rocks": ("4e79221e9d35eb2c", "0x1.fd9b66a18134ap-11"),
+}
+
+
+def smoke_case(name: str):
+    if name == "slope":
+        system = build_slope_model(
+            joint_spacing=10.0, seed=0,
+            joint_material=JointMaterial(friction_angle_deg=30.0),
+        )
+        return system, SimulationControls(
+            time_step=1e-3, dynamic=False, max_displacement_ratio=0.05
+        )
+    system = build_falling_rocks_model(
+        n_rock_rows=2, n_rock_cols=3, slope_height=20.0
+    )
+    return system, SimulationControls(
+        time_step=1e-3, dynamic=True, max_displacement_ratio=0.05
+    )
+
+
+@pytest.mark.parametrize(
+    "engine_cls", list(ASSEMBLY_LEDGER), ids=lambda c: c.__name__
+)
+def test_assembly_ledger_pinned(engine_cls):
+    system, _ = smoke_case("slope")
+    eng = engine_cls(system, SimulationControls(time_step=1e-3))
+    contacts = eng._detect_contacts()
+    diag_idx, diag_blocks, _ = eng._build_diagonal()
+    normal_force = contacts.pn * np.maximum(0.0, contacts.normal_disp)
+    c_idx, c_blocks, rows, cols, blocks, _ = eng._build_nondiagonal(
+        contacts, normal_force
+    )
+    n0 = len(eng.device.records)
+    eng._assemble(
+        np.concatenate([diag_idx, c_idx]),
+        np.concatenate([diag_blocks, c_blocks]),
+        rows, cols, blocks,
+    )
+    records = eng.device.records[n0:]
+    names, seconds = ASSEMBLY_LEDGER[engine_cls]
+    assert [r.name for r in records] == names
+    assert sum(r.seconds for r in records) == float.fromhex(seconds)
+
+
+@pytest.mark.parametrize("case", sorted(GPU_RUNS))
+def test_gpu_engine_runs_pinned(case):
+    eng = GpuEngine(*smoke_case(case))
+    eng.run(steps=3)
+    digest = hashlib.sha256(
+        np.ascontiguousarray(eng.system.vertices).tobytes()
+    ).hexdigest()[:16]
+    assert (digest, eng.device.total_time) == (
+        GPU_RUNS[case][0], float.fromhex(GPU_RUNS[case][1])
+    )
